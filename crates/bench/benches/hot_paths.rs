@@ -7,11 +7,11 @@
 //! 3. CSR relabeling (`permuted`) and transposition (`transposed`);
 //! 4. RR-set sampling — classic vs hub/cold split visited-set kernels,
 //!    with a reusable scratch vs per-sample allocation;
-//! 5. the parallel reordering kernels vs their retained serial oracles
+//! 5. the reordering kernels vs their retained serial oracles
 //!    (`reorder_parallel`): RCM's level gather + packed keys, SlashBurn's
-//!    linear-time top-k hub extraction, Rabbit's speculative batched scan,
-//!    and the k-way refinement's epoch-stamped scatter connectivity vs the
-//!    HashMap connectivity it replaced.
+//!    linear-time top-k hub extraction, Rabbit's serial scan, and the k-way
+//!    refinement's epoch-stamped scatter connectivity vs the HashMap
+//!    connectivity it replaced.
 //!
 //! Run with `cargo bench -p reorderlab-bench --bench hot_paths`. The
 //! before/after numbers recorded in `results/hot_paths.txt` come from this
@@ -201,8 +201,7 @@ fn kway_refine_hashmap_before(
 
 fn bench_reorder_parallel(c: &mut Criterion) {
     use reorderlab_core::schemes::{
-        rabbit_order, rabbit_order_serial, rcm_order, rcm_order_serial, slashburn_order,
-        slashburn_order_serial,
+        rabbit_order, rcm_order, rcm_order_serial, slashburn_order, slashburn_order_serial,
     };
     use reorderlab_partition::{kway_refine, partition_kway, PartitionConfig};
 
@@ -224,11 +223,8 @@ fn bench_reorder_parallel(c: &mut Criterion) {
         b.iter(|| black_box(slashburn_order_serial(black_box(g), 0.005)))
     });
 
-    group.bench_with_input(BenchmarkId::new("rabbit", "parallel"), &g, |b, g| {
-        b.iter(|| black_box(rabbit_order(black_box(g))))
-    });
     group.bench_with_input(BenchmarkId::new("rabbit", "serial"), &g, |b, g| {
-        b.iter(|| black_box(rabbit_order_serial(black_box(g))))
+        b.iter(|| black_box(rabbit_order(black_box(g))))
     });
 
     // Full multilevel pipeline (matching + contraction + refinement).

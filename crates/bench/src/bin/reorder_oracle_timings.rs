@@ -10,8 +10,8 @@
 
 use reorderlab_bench::{render_profile, HarnessArgs, Table};
 use reorderlab_core::schemes::{
-    cdfs_order, cdfs_order_serial, rabbit_order, rabbit_order_serial, rcm_order, rcm_order_serial,
-    slashburn_order, slashburn_order_serial,
+    cdfs_order, cdfs_order_serial, rcm_order, rcm_order_serial, slashburn_order,
+    slashburn_order_serial,
 };
 use reorderlab_core::PerformanceProfile;
 use reorderlab_datasets::large_suite;
@@ -38,7 +38,6 @@ fn main() {
         ("RCM", rcm_order, rcm_order_serial),
         ("CDFS", cdfs_order, cdfs_order_serial),
         ("SlashBurn", |g| slashburn_order(g, 0.005), |g| slashburn_order_serial(g, 0.005)),
-        ("Rabbit", rabbit_order, rabbit_order_serial),
     ];
 
     let names: Vec<String> = instances.iter().map(|i| i.name.to_string()).collect();

@@ -190,6 +190,12 @@ fn cluster_members(assignment: &[u32], cluster_sizes: &[usize]) -> (Vec<usize>, 
     (member_off, members)
 }
 
+/// Coarse rows each worker must get before [`contract`] forks: one row is
+/// a few hundred nanoseconds of scatter-and-sort, a fork tens of
+/// microseconds, so the many small contractions deep in a multilevel
+/// hierarchy stay on the calling thread.
+const CONTRACT_MIN_ROWS: usize = 1024;
+
 /// Contracts `graph` by `assignment`, producing one super-vertex per cluster.
 ///
 /// `assignment[v]` must lie in `[0, num_clusters)`. Edge weights between
@@ -197,7 +203,8 @@ fn cluster_members(assignment: &[u32], cluster_sizes: &[usize]) -> (Vec<usize>, 
 /// super-vertex whose weight is the sum of the intra-cluster edge weights
 /// (each undirected intra-cluster edge counted once).
 ///
-/// Coarse rows are aggregated in parallel; the result is bit-identical to
+/// Coarse rows are aggregated in parallel once there are enough of them
+/// (`CONTRACT_MIN_ROWS` per worker); the result is bit-identical to
 /// [`contract_serial`] at any thread count because every row's accumulation
 /// order (members ascending, arcs in adjacency order) is fixed and
 /// undirected mirror weights are copied, not recomputed.
@@ -239,6 +246,7 @@ pub fn contract(
 
     let rows: Vec<Vec<(u32, f64)>> = (0..num_clusters)
         .into_par_iter()
+        .with_min_len(CONTRACT_MIN_ROWS)
         .map_init(
             || RowScratch::new(num_clusters),
             |scratch, c| {

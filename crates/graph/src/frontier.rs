@@ -25,6 +25,11 @@ use rayon::prelude::*;
 /// count, while still exposing enough units to occupy a pool.
 const GATHER_BLOCK: usize = 256;
 
+/// Blocks each worker must get before a level forks. One block is a few
+/// microseconds of neighbor reads, a fork tens of microseconds, so narrow
+/// levels are gathered on the calling thread.
+const GATHER_MIN_BLOCKS: usize = 8;
+
 /// Gathers, for every frontier vertex in order, its neighbors `w` with
 /// `!is_visited(w)`, preserving adjacency order. Returns the stream as
 /// per-block segments whose concatenation is the deterministic candidate
@@ -71,9 +76,9 @@ fn gather_blocks<F>(frontier: &[u32], fill: F) -> Vec<Vec<u32>>
 where
     F: Fn(u32, &mut Vec<u32>) + Sync,
 {
-    if frontier.len() <= GATHER_BLOCK {
-        // One block: skip the parallel machinery entirely (the common case
-        // for narrow levels, and the whole graph on one thread).
+    if frontier.len().div_ceil(GATHER_BLOCK) < 2 * GATHER_MIN_BLOCKS {
+        // Too few blocks to fork (the common case for narrow levels): one
+        // segment, without materializing the blocks for the parallel call.
         let mut out = Vec::new();
         for &v in frontier {
             fill(v, &mut out);
@@ -83,6 +88,7 @@ where
     frontier
         .par_iter()
         .chunks(GATHER_BLOCK)
+        .with_min_len(GATHER_MIN_BLOCKS)
         .map(|block| {
             let mut out = Vec::new();
             for &v in block {
@@ -154,12 +160,12 @@ mod tests {
     fn large_frontier_spans_blocks() {
         // A star from 0: frontier of all leaves, none visited; candidate
         // stream is each leaf's sole neighbor (the hub), once per leaf.
-        let n = 3 * GATHER_BLOCK + 17;
+        let n = 2 * GATHER_MIN_BLOCKS * GATHER_BLOCK + 17;
         let g =
             GraphBuilder::undirected(n + 1).edges((1..=n as u32).map(|i| (0, i))).build().unwrap();
         let frontier: Vec<u32> = (1..=n as u32).collect();
         let blocks = frontier_candidates(&g, &frontier, |w| w != 0);
-        assert!(blocks.len() >= 4, "expected multiple blocks, got {}", blocks.len());
+        assert!(blocks.len() > 2 * GATHER_MIN_BLOCKS, "expected many blocks, got {}", blocks.len());
         let stream: Vec<u32> = blocks.into_iter().flatten().collect();
         assert_eq!(stream, vec![0u32; n]);
     }

@@ -37,8 +37,8 @@ mod separator;
 pub use bisect::{bisect, Bisection};
 pub use config::PartitionConfig;
 pub use kway::{communication_volume, kway_cut, partition_kway, Partitioning};
-pub use kway_refine::{kway_refine, kway_refine_serial};
-pub use matching::{heavy_edge_matching, heavy_edge_matching_serial, Matching};
+pub use kway_refine::kway_refine;
+pub use matching::{heavy_edge_matching, Matching};
 pub use nd::nested_dissection_order;
 pub use refine::{edge_cut, fm_refine};
 pub use separator::{vertex_separator, Separator};
@@ -98,28 +98,6 @@ mod proptests {
         fn nd_order_is_permutation((g, seed) in (arb_graph(), any::<u64>())) {
             let order = nested_dissection_order(&g, 6, &PartitionConfig::new(2).seed(seed));
             prop_assert!(reorderlab_graph::Permutation::from_order(&order).is_ok());
-        }
-
-        #[test]
-        fn matching_matches_serial_oracle((g, seed) in (arb_graph(), any::<u64>())) {
-            let expected = heavy_edge_matching_serial(&g, seed);
-            let got = reorderlab_graph::assert_thread_invariant(|| heavy_edge_matching(&g, seed));
-            prop_assert_eq!(got, expected);
-        }
-
-        #[test]
-        fn kway_refine_matches_serial_oracle((g, k, seed) in (arb_graph(), 2usize..6, any::<u64>())) {
-            let n = g.num_vertices();
-            let start: Vec<u32> = (0..n as u32).map(|v| (v ^ seed as u32) % k as u32).collect();
-            let vw = vec![1.0; n];
-            let mut expected = start.clone();
-            let expected_moves = kway_refine_serial(&g, &mut expected, k, &vw, 0.3, 4);
-            let got = reorderlab_graph::assert_thread_invariant(|| {
-                let mut a = start.clone();
-                let moves = kway_refine(&g, &mut a, k, &vw, 0.3, 4);
-                (a, moves)
-            });
-            prop_assert_eq!(got, (expected, expected_moves));
         }
 
         #[test]

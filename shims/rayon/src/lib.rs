@@ -15,6 +15,12 @@
 //! Work is split into one contiguous chunk per worker (static scheduling).
 //! That is a reasonable fit for the regular, flat loops this workspace runs;
 //! rayon's work stealing is not reproduced.
+//!
+//! A fork is not free: every worker but one is a fresh scoped OS thread
+//! (about 100 µs to spawn and join on a small shared host). The calling
+//! thread therefore runs the first chunk itself and spawns only
+//! `threads - 1` workers, and [`ParIter::with_min_len`] lets a call site
+//! with cheap items fork only when each worker gets enough of them.
 
 use std::cell::Cell;
 
@@ -223,11 +229,18 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
+    /// Runs `op` with this pool's bound installed on the calling thread.
+    /// The previous bound comes back when `op` returns or unwinds, so a
+    /// caught panic never leaks the bound into later work on this thread.
     pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        let prev = INSTALLED_THREADS.with(|t| t.replace(self.num_threads));
-        let result = op();
-        INSTALLED_THREADS.with(|t| t.set(prev));
-        result
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                INSTALLED_THREADS.with(|t| t.set(self.0));
+            }
+        }
+        let _restore = Restore(INSTALLED_THREADS.with(|t| t.replace(self.num_threads)));
+        op()
     }
 }
 
@@ -259,19 +272,21 @@ where
     })
 }
 
-/// Splits `items` into at most `current_num_threads()` contiguous chunks and
-/// maps each chunk on its own scoped thread, preserving input order. `init`
-/// runs once per chunk, providing per-worker scratch for `f`.
-fn run_chunked<T, I, R, INIT, F>(items: Vec<T>, init: INIT, f: F) -> Vec<R>
+/// Splits `items` into at most `current_num_threads()` contiguous chunks,
+/// and at most `items.len() / min_len` of them, and maps each chunk on its
+/// own thread — the first on the calling thread — preserving input order.
+/// `init` runs once per chunk, providing per-worker scratch for `f`.
+fn run_chunked<T, I, R, INIT, F>(items: Vec<T>, min_len: usize, init: INIT, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     INIT: Fn() -> I + Sync,
     F: Fn(&mut I, T) -> R + Sync,
 {
-    let threads = current_num_threads().max(1);
-    let len = items.len();
-    if threads == 1 || len <= 1 {
+    // Chaos ignores the grain so that small inputs are still perturbed.
+    let min_len = if cfg!(feature = "chaos") { 1 } else { min_len };
+    let threads = current_num_threads().min(items.len() / min_len);
+    if threads <= 1 {
         let mut scratch = init();
         return items.into_iter().map(|t| f(&mut scratch, t)).collect();
     }
@@ -281,8 +296,9 @@ where
     run_chunked_static(items, init, f, threads)
 }
 
-/// The default static schedule: even contiguous chunks, spawned and joined
-/// in order.
+/// The default static schedule: even contiguous chunks; the calling thread
+/// maps the first while one spawned worker per remaining chunk maps the
+/// rest, joined in order.
 #[cfg(not(feature = "chaos"))]
 fn run_chunked_static<T, I, R, INIT, F>(items: Vec<T>, init: INIT, f: F, threads: usize) -> Vec<R>
 where
@@ -293,33 +309,36 @@ where
 {
     let len = items.len();
     let chunk_len = len.div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-    let mut items = items;
-    // Split back-to-front so each drain is O(chunk).
-    while items.len() > chunk_len {
-        chunks.push(items.split_off(items.len() - chunk_len));
+    let mut rest: Vec<Vec<T>> = Vec::with_capacity(threads);
+    let mut first = items;
+    // Split back-to-front so each drain is O(chunk); `first` keeps chunk 0.
+    while first.len() > chunk_len {
+        rest.push(first.split_off(first.len() - chunk_len));
     }
-    chunks.push(items);
-    // `chunks` is in reverse input order; pop-and-extend below restores it.
-    let init = &init;
-    let f = &f;
-    let mut outputs: Vec<Vec<R>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
+    let map_chunk = |chunk: Vec<T>, out: &mut Vec<R>| {
+        let mut scratch = init();
+        out.extend(chunk.into_iter().map(|t| f(&mut scratch, t)));
+    };
+    let map_chunk = &map_chunk;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = rest
             .into_iter()
+            .rev()
             .map(|chunk| {
                 s.spawn(move || {
-                    let mut scratch = init();
-                    chunk.into_iter().map(|t| f(&mut scratch, t)).collect::<Vec<R>>()
+                    let mut out = Vec::with_capacity(chunk.len());
+                    map_chunk(chunk, &mut out);
+                    out
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("rayon-shim worker panicked")).collect()
-    });
-    let mut out = Vec::with_capacity(len);
-    while let Some(chunk) = outputs.pop() {
-        out.extend(chunk);
-    }
-    out
+        let mut out = Vec::with_capacity(len);
+        map_chunk(first, &mut out);
+        for h in handles {
+            out.extend(h.join().expect("rayon-shim worker panicked"));
+        }
+        out
+    })
 }
 
 /// The adversarial schedule: uneven chunk boundaries, permuted spawn order,
@@ -346,25 +365,29 @@ where
         rest = tail;
     }
     debug_assert!(rest.is_empty(), "plan sizes must cover every item");
-    let init = &init;
-    let f = &f;
+    let map_chunk = |(idx, chunk): (usize, Vec<T>)| {
+        for _ in 0..plan.yields[idx] {
+            std::thread::yield_now();
+        }
+        let mut scratch = init();
+        (idx, chunk.into_iter().map(|t| f(&mut scratch, t)).collect::<Vec<R>>())
+    };
+    let map_chunk = &map_chunk;
+    let mut take = |orig: usize| chunks[orig].take().expect("each chunk runs exactly once");
+    // The last chunk in spawn order runs on the calling thread, as the
+    // static schedule's first chunk does, but at a seeded position.
+    let (&on_caller, spawned) = plan.spawn_order.split_last().expect("plans have >= 2 chunks");
     let mut slots: Vec<Option<Vec<R>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = plan
-            .spawn_order
+        let handles: Vec<_> = spawned
             .iter()
             .map(|&orig| {
-                let (idx, chunk) = chunks[orig].take().expect("each chunk spawns exactly once");
-                let yields = plan.yields[idx];
-                s.spawn(move || {
-                    for _ in 0..yields {
-                        std::thread::yield_now();
-                    }
-                    let mut scratch = init();
-                    (idx, chunk.into_iter().map(|t| f(&mut scratch, t)).collect::<Vec<R>>())
-                })
+                let chunk = take(orig);
+                s.spawn(move || map_chunk(chunk))
             })
             .collect();
         let mut slots: Vec<Option<Vec<R>>> = (0..plan.sizes.len()).map(|_| None).collect();
+        let (idx, chunk_out) = map_chunk(take(on_caller));
+        slots[idx] = Some(chunk_out);
         for h in handles {
             let (idx, chunk_out) = h.join().expect("rayon-shim chaos worker panicked");
             slots[idx] = Some(chunk_out);
@@ -381,15 +404,29 @@ where
 /// An order-preserving parallel iterator over an already-materialized list.
 pub struct ParIter<T> {
     items: Vec<T>,
+    min_len: usize,
 }
 
 impl<T: Send> ParIter<T> {
+    fn new(items: Vec<T>) -> Self {
+        ParIter { items, min_len: 1 }
+    }
+
+    /// As in rayon: the call forks only as many workers as leave each at
+    /// least `min_len` items, so it stays on the calling thread unless
+    /// there are `2 * min_len` items or more. Ignored under the `chaos`
+    /// feature, which perturbs every input of two items or more.
+    pub fn with_min_len(mut self, min_len: usize) -> Self {
+        self.min_len = min_len.max(1);
+        self
+    }
+
     pub fn map<R, F>(self, f: F) -> MapIter<T, F>
     where
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        MapIter { items: self.items, f }
+        MapIter { items: self.items, min_len: self.min_len, f }
     }
 
     /// Per-worker scratch state, as in rayon's `map_init`.
@@ -399,7 +436,7 @@ impl<T: Send> ParIter<T> {
         INIT: Fn() -> I + Sync,
         F: Fn(&mut I, T) -> R + Sync,
     {
-        MapInitIter { items: self.items, init, f }
+        MapInitIter { items: self.items, min_len: self.min_len, init, f }
     }
 
     /// Groups items into `Vec`s of `size` (the last may be shorter).
@@ -414,20 +451,20 @@ impl<T: Send> ParIter<T> {
             }
             chunks.push(chunk);
         }
-        ParIter { items: chunks }
+        ParIter::new(chunks)
     }
 
     pub fn enumerate(self) -> ParIter<(usize, T)> {
-        ParIter { items: self.items.into_iter().enumerate().collect() }
+        ParIter { items: self.items.into_iter().enumerate().collect(), min_len: self.min_len }
     }
 
     pub fn zip<U: Send>(self, other: impl IntoParallelIterator<Item = U>) -> ParIter<(T, U)> {
         let other = other.into_par_iter();
-        ParIter { items: self.items.into_iter().zip(other.items).collect() }
+        ParIter { items: self.items.into_iter().zip(other.items).collect(), min_len: self.min_len }
     }
 
     pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
-        run_chunked(self.items, || (), |(), t| f(t));
+        run_chunked(self.items, self.min_len, || (), |(), t| f(t));
     }
 
     pub fn collect<C: FromIterator<T>>(self) -> C {
@@ -442,6 +479,7 @@ impl<T: Send> ParIter<T> {
 /// Lazy `map` stage of [`ParIter`]; executes on `collect`/`sum`/`for_each`.
 pub struct MapIter<T, F> {
     items: Vec<T>,
+    min_len: usize,
     f: F,
 }
 
@@ -453,25 +491,26 @@ where
 {
     pub fn collect<C: FromIterator<R>>(self) -> C {
         let f = self.f;
-        run_chunked(self.items, || (), |(), t| f(t)).into_iter().collect()
+        run_chunked(self.items, self.min_len, || (), |(), t| f(t)).into_iter().collect()
     }
 
     /// Deterministic sum: parallel map, then a sequential fold in input
     /// order, so float accumulation order never depends on thread count.
     pub fn sum<S: std::iter::Sum<R>>(self) -> S {
         let f = self.f;
-        run_chunked(self.items, || (), |(), t| f(t)).into_iter().sum()
+        run_chunked(self.items, self.min_len, || (), |(), t| f(t)).into_iter().sum()
     }
 
     pub fn for_each<G: Fn(R) + Sync>(self, g: G) {
         let f = self.f;
-        run_chunked(self.items, || (), |(), t| g(f(t)));
+        run_chunked(self.items, self.min_len, || (), |(), t| g(f(t)));
     }
 }
 
 /// Lazy `map_init` stage of [`ParIter`].
 pub struct MapInitIter<T, INIT, F> {
     items: Vec<T>,
+    min_len: usize,
     init: INIT,
     f: F,
 }
@@ -484,7 +523,7 @@ where
     F: Fn(&mut I, T) -> R + Sync,
 {
     pub fn collect<C: FromIterator<R>>(self) -> C {
-        run_chunked(self.items, self.init, self.f).into_iter().collect()
+        run_chunked(self.items, self.min_len, self.init, self.f).into_iter().collect()
     }
 }
 
@@ -497,7 +536,7 @@ pub trait IntoParallelIterator {
 impl<T: Send> IntoParallelIterator for Vec<T> {
     type Item = T;
     fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self }
+        ParIter::new(self)
     }
 }
 
@@ -511,14 +550,14 @@ impl<T: Send> IntoParallelIterator for ParIter<T> {
 impl IntoParallelIterator for std::ops::Range<usize> {
     type Item = usize;
     fn into_par_iter(self) -> ParIter<usize> {
-        ParIter { items: self.collect() }
+        ParIter::new(self.collect())
     }
 }
 
 impl IntoParallelIterator for std::ops::Range<u32> {
     type Item = u32;
     fn into_par_iter(self) -> ParIter<u32> {
-        ParIter { items: self.collect() }
+        ParIter::new(self.collect())
     }
 }
 
@@ -531,14 +570,14 @@ pub trait IntoParallelRefIterator<'a> {
 impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
     type Item = &'a T;
     fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter { items: self.iter().collect() }
+        ParIter::new(self.iter().collect())
     }
 }
 
 impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     type Item = &'a T;
     fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter { items: self.iter().collect() }
+        ParIter::new(self.iter().collect())
     }
 }
 
@@ -551,14 +590,14 @@ pub trait IntoParallelRefMutIterator<'a> {
 impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
     type Item = &'a mut T;
     fn par_iter_mut(&'a mut self) -> ParIter<&'a mut T> {
-        ParIter { items: self.iter_mut().collect() }
+        ParIter::new(self.iter_mut().collect())
     }
 }
 
 impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
     type Item = &'a mut T;
     fn par_iter_mut(&'a mut self) -> ParIter<&'a mut T> {
-        ParIter { items: self.iter_mut().collect() }
+        ParIter::new(self.iter_mut().collect())
     }
 }
 
@@ -636,6 +675,118 @@ mod tests {
         let b = vec![4, 5, 6];
         let s: i32 = a.par_iter().zip(b.par_iter()).map(|(x, y)| x * y).sum();
         assert_eq!(s, 4 + 10 + 18);
+    }
+
+    fn with_threads<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+        ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(op)
+    }
+
+    /// Runs `op` on a helper thread and fails the test if it has not
+    /// finished within a generous deadline, so a hang reads as a failure.
+    fn within_deadline<R: Send + 'static>(op: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || tx.send(op()));
+        let out = rx.recv_timeout(std::time::Duration::from_secs(30)).expect("parallel call hung");
+        helper.join().expect("helper thread panicked").expect("receiver is alive");
+        out
+    }
+
+    #[test]
+    fn caller_run_chunks_keep_order_and_map_init_results() {
+        for threads in [2usize, 3, 7] {
+            for len in [2usize, 3, 7, 64, 1001] {
+                let (mapped, inited): (Vec<usize>, Vec<(usize, usize)>) =
+                    with_threads(threads, || {
+                        let mapped = (0..len).into_par_iter().map(|x| x * 7 + 1).collect();
+                        // Each chunk numbers its items from 0: the pairs expose
+                        // every chunk boundary.
+                        let inited = (0..len)
+                            .into_par_iter()
+                            .map_init(
+                                || 0usize,
+                                |seen, x| {
+                                    *seen += 1;
+                                    (x, *seen - 1)
+                                },
+                            )
+                            .collect();
+                        (mapped, inited)
+                    });
+                assert_eq!(mapped, (0..len).map(|x| x * 7 + 1).collect::<Vec<_>>());
+                assert_eq!(
+                    inited.iter().map(|p| p.0).collect::<Vec<_>>(),
+                    (0..len).collect::<Vec<_>>()
+                );
+                #[cfg(not(feature = "chaos"))]
+                {
+                    // Chunks are cut back to front, so the first one
+                    // (the caller's) holds the remainder.
+                    let chunk = len.div_ceil(threads.min(len));
+                    let first = len - chunk * ((len - 1) / chunk);
+                    let expect = |x: usize| if x < first { x } else { (x - first) % chunk };
+                    assert!(
+                        inited.iter().all(|&(x, i)| i == expect(x)),
+                        "{threads} threads, {len} items"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_in_any_chunk_propagates_without_hanging() {
+        for threads in [2usize, 7] {
+            // Item 0 lies in the caller's chunk, item 99 in the last worker's.
+            for bad in [0usize, 99] {
+                let caught = within_deadline(move || {
+                    std::panic::catch_unwind(|| {
+                        with_threads(threads, || {
+                            (0..100usize)
+                                .into_par_iter()
+                                .map(|x| if x == bad { panic!("item {x}") } else { x })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                });
+                assert!(caught.is_err(), "panic on item {bad} at {threads} threads was lost");
+            }
+        }
+    }
+
+    #[test]
+    fn install_restores_the_bound_after_a_panic() {
+        let before = current_num_threads();
+        let pool = ThreadPoolBuilder::new().num_threads(before + 3).build().unwrap();
+        let caught = std::panic::catch_unwind(|| pool.install(|| panic!("request failed")));
+        assert!(caught.is_err());
+        assert_eq!(current_num_threads(), before);
+    }
+
+    fn threads_seen(len: usize, min_len: usize) -> Vec<std::thread::ThreadId> {
+        with_threads(2, || {
+            (0..len)
+                .into_par_iter()
+                .with_min_len(min_len)
+                .map(|_| std::thread::current().id())
+                .collect()
+        })
+    }
+
+    #[cfg(not(feature = "chaos"))]
+    #[test]
+    fn with_min_len_keeps_small_calls_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        assert!(threads_seen(19, 10).iter().all(|&id| id == me));
+        let forked = threads_seen(20, 10);
+        assert!(forked[..10].iter().all(|&id| id == me), "the caller runs the first chunk");
+        assert!(forked[10..].iter().all(|&id| id != me), "a worker runs the second");
+    }
+
+    #[cfg(feature = "chaos")]
+    #[test]
+    fn chaos_ignores_with_min_len() {
+        let me = std::thread::current().id();
+        assert!(threads_seen(19, 10).iter().any(|&id| id != me), "chaos must still fork");
     }
 }
 
