@@ -5,6 +5,10 @@
 //! `(1 − 1/e)`-approximate most influential seed set for the sampled
 //! realizations.
 
+use reorderlab_graph::cast::{try_vertex_id, usize_from_u32};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 /// The outcome of greedy coverage: chosen seeds and how many RR sets they
 /// jointly cover.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,52 +71,156 @@ pub fn greedy_max_coverage(rr_sets: &[Vec<u32>], n: usize, k: usize) -> Coverage
 /// optimization production IMM implementations (Ripples included) apply to
 /// the NodeSelection step.
 ///
+/// Builds the inverted index of `rr_sets` and runs the same CELF body IMM
+/// runs over the index it grows across its martingale rounds.
+///
 /// # Panics
 ///
 /// Panics if any RR set mentions a vertex `>= n`.
 pub fn celf_max_coverage(rr_sets: &[Vec<u32>], n: usize, k: usize) -> Coverage {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    let mut batch = SetBatch::default();
+    for set in rr_sets {
+        batch.push(set);
+    }
+    let mut index = RrIndex::new(n);
+    index.append(&[batch]);
+    index.celf(k)
+}
 
-    let mut containing: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, set) in rr_sets.iter().enumerate() {
-        for &v in set {
-            containing[v as usize].push(i as u32);
+/// A run of consecutive RR sets stored back to back: set `j` of the batch
+/// is `flat[ends[j - 1]..ends[j]]` (from 0 for the first).
+#[derive(Debug, Default)]
+pub(crate) struct SetBatch {
+    flat: Vec<u32>,
+    ends: Vec<usize>,
+}
+
+impl SetBatch {
+    /// Appends `set` as the batch's next set.
+    pub(crate) fn push(&mut self, set: &[u32]) {
+        self.flat.extend_from_slice(set);
+        self.ends.push(self.flat.len());
+    }
+
+    /// The sets in order.
+    fn sets(&self) -> impl Iterator<Item = &[u32]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(a, &b)| self.flat.get(a..b).unwrap_or(&[]))
+    }
+}
+
+/// RR sets stored only as an inverted index: for every vertex, the ids of
+/// the sets holding it. Each [`RrIndex::append`] adds one block, the
+/// appended sets transposed by a counting sort, so a vertex's ids are the
+/// concatenation of its lists in every block — ascending, exactly the
+/// list a rebuild from all sets would produce.
+#[derive(Debug)]
+pub(crate) struct RrIndex {
+    n: usize,
+    blocks: Vec<IndexBlock>,
+    /// Sets appended so far; the next set's id.
+    sets: u32,
+}
+
+/// One append's sets by vertex: `ids[offsets[v]..offsets[v + 1]]` are the
+/// ids of the sets holding `v`.
+#[derive(Debug)]
+struct IndexBlock {
+    offsets: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl IndexBlock {
+    fn list(&self, v: usize) -> &[u32] {
+        match (self.offsets.get(v), self.offsets.get(v + 1)) {
+            (Some(&a), Some(&b)) => self.ids.get(a..b).unwrap_or(&[]),
+            _ => &[],
         }
     }
-    let mut set_covered = vec![false; rr_sets.len()];
-    // Heap of (gain, lower-id-first, vertex, freshness round).
-    let mut heap: BinaryHeap<(usize, Reverse<u32>, usize)> = (0..n)
-        .filter(|&v| !containing[v].is_empty())
-        .map(|v| (containing[v].len(), Reverse(v as u32), 0usize))
-        .collect();
-    let mut seeds = Vec::with_capacity(k);
-    let mut covered = 0usize;
-    let mut round = 0usize;
+}
 
-    while seeds.len() < k {
-        let Some((gain, Reverse(v), fresh)) = heap.pop() else { break };
-        if gain == 0 {
-            break; // saturated: every remaining gain is ≤ this one
+impl RrIndex {
+    /// An empty index over `n` vertices.
+    pub(crate) fn new(n: usize) -> Self {
+        RrIndex { n, blocks: Vec::new(), sets: 0 }
+    }
+
+    /// Number of sets appended so far.
+    pub(crate) fn len(&self) -> usize {
+        usize_from_u32(self.sets)
+    }
+
+    /// Appends every set of `batches`, in order, as the next set ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a set mentions a vertex `>= n`.
+    pub(crate) fn append(&mut self, batches: &[SetBatch]) {
+        let mut offsets = vec![0usize; self.n + 1];
+        for &v in batches.iter().flat_map(|b| &b.flat) {
+            offsets[usize_from_u32(v) + 1] += 1;
         }
-        if fresh < round {
-            // Stale: recompute the marginal gain lazily and reinsert.
-            let current =
-                containing[v as usize].iter().filter(|&&s| !set_covered[s as usize]).count();
-            heap.push((current, Reverse(v), round));
-            continue;
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
         }
-        // Fresh maximum: select it.
-        seeds.push(v);
-        for &s in &containing[v as usize] {
-            if !set_covered[s as usize] {
-                set_covered[s as usize] = true;
-                covered += 1;
+        let mut cursor = offsets.clone();
+        let mut ids = vec![0u32; offsets[self.n]];
+        for set in batches.iter().flat_map(SetBatch::sets) {
+            for &v in set {
+                let c = &mut cursor[usize_from_u32(v)];
+                ids[*c] = self.sets;
+                *c += 1;
             }
+            self.sets += 1;
         }
-        round += 1;
+        self.blocks.push(IndexBlock { offsets, ids });
     }
-    Coverage { seeds, covered }
+
+    /// The ids of the sets holding `v`, one slice per block.
+    fn lists(&self, v: usize) -> impl Iterator<Item = &[u32]> {
+        self.blocks.iter().map(move |b| b.list(v))
+    }
+
+    /// CELF over every set appended so far.
+    pub(crate) fn celf(&self, k: usize) -> Coverage {
+        let mut set_covered = vec![false; self.len()];
+        // Heap of (gain, lower-id-first, vertex, freshness round).
+        let mut heap: BinaryHeap<(usize, Reverse<u32>, usize)> = (0..self.n)
+            .filter_map(|i| {
+                let gain: usize = self.lists(i).map(<[u32]>::len).sum();
+                let v = try_vertex_id(i)?;
+                (gain > 0).then_some((gain, Reverse(v), 0usize))
+            })
+            .collect();
+        let mut seeds = Vec::with_capacity(k);
+        let mut covered = 0usize;
+        let mut round = 0usize;
+
+        while seeds.len() < k {
+            let Some((gain, Reverse(v), fresh)) = heap.pop() else { break };
+            if gain == 0 {
+                break; // saturated: every remaining gain is ≤ this one
+            }
+            let sets = self.lists(usize_from_u32(v)).flatten();
+            if fresh < round {
+                // Stale: recompute the marginal gain lazily and reinsert.
+                let current = sets.filter(|&&s| !set_covered[usize_from_u32(s)]).count();
+                heap.push((current, Reverse(v), round));
+                continue;
+            }
+            // Fresh maximum: select it.
+            seeds.push(v);
+            for &s in sets {
+                let slot = &mut set_covered[usize_from_u32(s)];
+                if !*slot {
+                    *slot = true;
+                    covered += 1;
+                }
+            }
+            round += 1;
+        }
+        Coverage { seeds, covered }
+    }
 }
 
 #[cfg(test)]
@@ -182,6 +290,28 @@ mod tests {
                 let a = greedy_max_coverage(&sets, 8, k);
                 let b = celf_max_coverage(&sets, 8, k);
                 assert_eq!(a, b, "sets {sets:?}, k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn index_grown_in_blocks_matches_one_build() {
+        // IMM appends its sets in several blocks; CELF over that index must
+        // equal the oracle over all sets at once, for every split point.
+        let sets: Vec<Vec<u32>> =
+            vec![vec![1, 2, 3], vec![2, 3], vec![3], vec![4, 5], vec![5], vec![0, 5], vec![2]];
+        for cut in 0..=sets.len() {
+            let mut index = RrIndex::new(8);
+            for part in [&sets[..cut], &sets[cut..]] {
+                let mut batch = SetBatch::default();
+                for set in part {
+                    batch.push(set);
+                }
+                index.append(&[batch]);
+            }
+            assert_eq!(index.len(), sets.len());
+            for k in 1..=4 {
+                assert_eq!(index.celf(k), greedy_max_coverage(&sets, 8, k), "cut {cut}, k={k}");
             }
         }
     }

@@ -4,7 +4,7 @@
 //! CPUs busy.
 
 use crate::config::ImmConfig;
-use crate::greedy::celf_max_coverage;
+use crate::greedy::{RrIndex, SetBatch};
 use crate::rrset::{RrSampler, RrTrace, SampleScratch};
 use rayon::prelude::*;
 use reorderlab_graph::{CompressError, CompressedCsr, Csr};
@@ -14,9 +14,11 @@ use std::time::{Duration, Instant};
 /// Figure 11 (sampling throughput and total time).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplingStats {
-    /// Wall time spent generating RR sets.
+    /// Wall time spent generating RR sets (the parallel reverse traversals).
     pub sampling_time: Duration,
-    /// Wall time spent in greedy seed selection.
+    /// Wall time spent in seed selection, summed over every pass: appending
+    /// each batch of new sets to the inverted index, the CELF pass of every
+    /// martingale round, and the final CELF pass.
     pub selection_time: Duration,
     /// Total wall time of the run.
     pub total_time: Duration,
@@ -126,18 +128,28 @@ fn imm_core(n: usize, sampler: &RrSampler, cfg: &ImmConfig, start: Instant) -> I
         (2.0 + 2.0 * eps_prime / 3.0) * (log_cnk + ell * ln_n + nf.log2().max(1.0).ln()) * nf
             / (eps_prime * eps_prime);
 
-    let mut rr_sets: Vec<Vec<u32>> = Vec::new();
+    // The RR sets live only in this inverted index, grown in id order after
+    // every extension; each CELF pass runs over it without a rebuild.
+    let mut index = RrIndex::new(n);
     let mut trace = RrTrace::default();
     let mut sampling_time = Duration::ZERO;
+    let mut selection_time = Duration::ZERO;
     let mut lb = 1.0f64;
+    // The coverage of the last round's pass, over the sets drawn so far.
+    let mut round_cov = None;
 
     let max_rounds = (nf.log2().ceil() as u32).max(1);
     for i in 1..=max_rounds {
         let x = nf / 2f64.powi(i as i32);
         let theta_i = (lambda_prime / x).ceil() as usize;
-        sampling_time += extend_samples(sampler, cfg, &mut rr_sets, theta_i, &mut trace);
-        let cov = celf_max_coverage(&rr_sets, n, k);
-        let frac = cov.covered as f64 / rr_sets.len() as f64;
+        let (sampled, appended) = extend_samples(sampler, cfg, &mut index, theta_i, &mut trace);
+        sampling_time += sampled;
+        selection_time += appended;
+        let sel_start = Instant::now();
+        let cov = index.celf(k);
+        selection_time += sel_start.elapsed();
+        let frac = cov.covered as f64 / index.len() as f64;
+        round_cov = Some(cov);
         if nf * frac >= (1.0 + eps_prime) * x {
             lb = nf * frac / (1.0 + eps_prime);
             break;
@@ -149,16 +161,24 @@ fn imm_core(n: usize, sampler: &RrSampler, cfg: &ImmConfig, start: Instant) -> I
     let beta = ((1.0 - 1.0 / e) * (log_cnk + ell * ln_n + 2f64.ln())).sqrt();
     let lambda_star = 2.0 * nf * ((1.0 - 1.0 / e) * alpha + beta).powi(2) / (eps * eps);
     let theta = (lambda_star / lb).ceil() as usize;
-    sampling_time += extend_samples(sampler, cfg, &mut rr_sets, theta, &mut trace);
+    let have = index.len();
+    let (sampled, appended) = extend_samples(sampler, cfg, &mut index, theta, &mut trace);
+    sampling_time += sampled;
+    selection_time += appended;
 
     let sel_start = Instant::now();
     // CELF lazy greedy: provably identical output to plain greedy (see
-    // greedy.rs tests), with far fewer gain recomputations.
-    let cov = celf_max_coverage(&rr_sets, n, k);
-    let selection_time = sel_start.elapsed();
-    let influence = nf * cov.covered as f64 / rr_sets.len() as f64;
+    // greedy.rs tests), with far fewer gain recomputations. When the final
+    // extension drew no new set, the last round already covered exactly
+    // these sets.
+    let cov = match round_cov {
+        Some(cov) if index.len() == have => cov,
+        _ => index.celf(k),
+    };
+    selection_time += sel_start.elapsed();
+    let influence = nf * cov.covered as f64 / index.len() as f64;
 
-    let rr_count = rr_sets.len();
+    let rr_count = index.len();
     let stats = SamplingStats {
         sampling_time,
         selection_time,
@@ -214,54 +234,58 @@ pub fn record_sampling_stats(r: &ImmResult, rec: &mut dyn reorderlab_trace::Reco
     rec.series("imm/mean_rr_size", s.mean_rr_size);
 }
 
-/// Grows `rr_sets` to at least `target` sets using parallel batched
-/// sampling; RR set `i` always comes from stream `(seed, i)`, so results
-/// are thread-count independent. Returns the wall time spent.
+/// Grows `index` to at least `target` sets using parallel batched
+/// sampling; RR set `i` always comes from stream `(seed, i)` and is
+/// appended as set id `i`, so results are thread-count independent.
+/// Returns the wall time spent sampling and the wall time of the serial
+/// append to the index, which is selection work.
 fn extend_samples(
     sampler: &RrSampler,
     cfg: &ImmConfig,
-    rr_sets: &mut Vec<Vec<u32>>,
+    index: &mut RrIndex,
     target: usize,
     trace: &mut RrTrace,
-) -> Duration {
-    let have = rr_sets.len();
+) -> (Duration, Duration) {
+    let have = index.len();
     if target <= have {
-        return Duration::ZERO;
+        return (Duration::ZERO, Duration::ZERO);
     }
     let t0 = Instant::now();
     let missing = target - have;
     let batch = cfg.batch;
     let batches = missing.div_ceil(batch);
     // Each worker keeps one `SampleScratch` across its whole share of the
-    // batches: the per-sample `n`-byte visited array and queue allocations
-    // of the naive loop disappear, leaving only the (unavoidable) exact-size
-    // copy of each finished set. Set `i` still comes from stream `(seed, i)`
-    // regardless of which worker draws it.
-    let new: Vec<(Vec<Vec<u32>>, RrTrace)> = (0..batches)
+    // batches, and each batch copies its sets back to back into one
+    // buffer, so a set costs no allocation of its own. Set `i` still comes
+    // from stream `(seed, i)` regardless of which worker draws it.
+    let new: Vec<(SetBatch, RrTrace)> = (0..batches)
         .into_par_iter()
         .map_init(
             || SampleScratch::new(sampler.num_vertices()),
             |scratch, b| {
                 let lo = have + b * batch;
                 let hi = (lo + batch).min(target);
-                let mut sets = Vec::with_capacity(hi - lo);
+                let mut sets = SetBatch::default();
                 let mut tr = RrTrace::default();
                 for i in lo..hi {
                     let (set, t) = sampler.sample_with(cfg.seed, i as u64, scratch);
                     tr.edges_examined += t.edges_examined;
                     tr.vertices_visited += t.vertices_visited;
-                    sets.push(set.to_vec());
+                    sets.push(set);
                 }
                 (sets, tr)
             },
         )
         .collect();
-    for (sets, tr) in new {
-        rr_sets.extend(sets);
+    let sampled = t0.elapsed();
+    let t1 = Instant::now();
+    let (sets, traces): (Vec<SetBatch>, Vec<RrTrace>) = new.into_iter().unzip();
+    for tr in traces {
         trace.edges_examined += tr.edges_examined;
         trace.vertices_visited += tr.vertices_visited;
     }
-    t0.elapsed()
+    index.append(&sets);
+    (sampled, t1.elapsed())
 }
 
 fn empty_stats() -> SamplingStats {
@@ -337,6 +361,23 @@ mod tests {
         assert!(s.vertices_visited >= s.rr_sets as u64, "each set holds at least its root");
         assert!(s.mean_rr_size >= 1.0);
         assert!(s.total_time >= s.sampling_time);
+    }
+
+    #[test]
+    fn selection_time_sums_every_pass() {
+        // A triangle mesh under WC takes seven martingale rounds, each with
+        // its own selection pass; a star under IC stops after four, and its
+        // final extension draws no new set, so the final pass is the last
+        // round's. Either way the phases are disjoint slices of the run and
+        // selection is timed even when the final pass is skipped.
+        let mesh = reorderlab_datasets::tri_mesh(30, 30, 0.1, 3);
+        let wc = ImmConfig::new(4).epsilon(0.9).model(DiffusionModel::WeightedCascade).seed(5);
+        let ic = ImmConfig::new(4).epsilon(0.9).seed(5);
+        for (g, cfg) in [(&mesh, &wc), (&star(300), &ic)] {
+            let s = imm(g, cfg).stats;
+            assert!(s.total_time >= s.sampling_time + s.selection_time, "{s:?}");
+            assert!(s.selection_time > Duration::ZERO, "{s:?}");
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use crate::config::{DiffusionModel, SampleKernel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use reorderlab_graph::cast::usize_from_u32;
 use reorderlab_graph::{CompressError, CompressedCsr, Csr, GapNeighbors};
 
 /// The reverse adjacency a sampler traverses: a flat CSR or the
@@ -20,30 +21,6 @@ enum Adjacency {
     Flat(Csr),
     /// Compressed rows, streamed zero-copy from the gap bytes.
     Compressed(CompressedCsr),
-}
-
-/// Enum-dispatched in-neighbor stream over either representation.
-enum RowIter<'a> {
-    Flat(std::iter::Copied<std::slice::Iter<'a, u32>>),
-    Compressed(GapNeighbors<'a>),
-}
-
-impl Iterator for RowIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            RowIter::Flat(it) => it.next(),
-            RowIter::Compressed(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            RowIter::Flat(it) => it.size_hint(),
-            RowIter::Compressed(it) => it.size_hint(),
-        }
-    }
 }
 
 impl Adjacency {
@@ -60,12 +37,36 @@ impl Adjacency {
             Adjacency::Compressed(cz) => cz.degree(v),
         }
     }
+}
 
-    fn iter_row(&self, v: u32) -> RowIter<'_> {
-        match self {
-            Adjacency::Flat(g) => RowIter::Flat(g.neighbors(v).iter().copied()),
-            Adjacency::Compressed(cz) => RowIter::Compressed(cz.neighbors(v)),
-        }
+/// A source of in-neighbor rows. The traversal bodies are generic over it,
+/// so the flat-or-compressed choice is made once per sample and every edge
+/// runs a monomorphic loop: slices for flat rows, the fused gap decoder for
+/// compressed ones.
+trait InRows {
+    /// One row's in-neighbors, ascending; its length is the in-degree.
+    type Row<'a>: ExactSizeIterator<Item = u32>
+    where
+        Self: 'a;
+
+    fn row(&self, v: u32) -> Self::Row<'_>;
+}
+
+impl InRows for Csr {
+    type Row<'a> = std::iter::Copied<std::slice::Iter<'a, u32>>;
+
+    #[inline]
+    fn row(&self, v: u32) -> Self::Row<'_> {
+        self.neighbors(v).iter().copied()
+    }
+}
+
+impl InRows for CompressedCsr {
+    type Row<'a> = GapNeighbors<'a>;
+
+    #[inline]
+    fn row(&self, v: u32) -> Self::Row<'_> {
+        self.neighbors(v)
     }
 }
 
@@ -102,6 +103,8 @@ pub struct RrTrace {
 /// allocations (and the O(n) clears) dominate on small sets. The scratch
 /// replaces them with an epoch-stamped visited array — resetting is a single
 /// counter increment — and one queue buffer that doubles as the output set.
+/// Stamps are 4 bytes; when the epoch counter would wrap, every stamp is
+/// cleared and counting restarts at 1, so a stale stamp never matches.
 ///
 /// Reusing a scratch never changes the sampled sets: visitation is keyed on
 /// `(seed, index)`-derived RNG streams only, so `sample_with` returns the
@@ -109,11 +112,13 @@ pub struct RrTrace {
 #[derive(Debug, Clone)]
 pub struct SampleScratch {
     /// `stamp[v] == epoch` marks `v` visited in the current sample.
-    stamp: Vec<u64>,
+    stamp: Vec<u32>,
     /// Compact visited stamps for hub vertices (indexed by hub slot); only
     /// touched by the [`SampleKernel::HubSplit`] path.
-    hub_stamp: Vec<u64>,
-    epoch: u64,
+    hub_stamp: Vec<u32>,
+    /// The current sample's stamp. A fresh slot holds 0, which the epoch
+    /// leaves on its first sample and never returns to.
+    epoch: u32,
     /// BFS queue and output set (root first).
     set: Vec<u32>,
 }
@@ -124,68 +129,82 @@ impl SampleScratch {
         SampleScratch { stamp: vec![0; n], hub_stamp: Vec::new(), epoch: 0, set: Vec::new() }
     }
 
-    /// Starts a new sample rooted at `root`: bumps the epoch (constant-time
-    /// reset of the visited set) and seeds the queue.
-    fn begin(&mut self, n: usize, root: u32) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-        }
-        self.epoch += 1;
-        self.set.clear();
-        self.set.push(root);
-        self.stamp[root as usize] = self.epoch;
+    /// Moves the epoch counter, so tests can drive samples across the wrap.
+    #[cfg(test)]
+    fn at_epoch(mut self, epoch: u32) -> Self {
+        self.epoch = epoch;
+        self
     }
 
-    fn is_visited(&self, v: u32) -> bool {
-        self.stamp[v as usize] == self.epoch
-    }
-
-    fn visit(&mut self, v: u32) {
-        self.stamp[v as usize] = self.epoch;
-        self.set.push(v);
-    }
-
-    /// [`SampleScratch::begin`] for the hub/cold split path: also sizes the
-    /// compact hub array and stamps the root in whichever array owns it.
-    fn begin_split(&mut self, n: usize, num_hubs: usize, root: u32, hub_slot: &[u32]) {
+    /// Starts a new sample: sizes both stamp arrays, advances the epoch
+    /// (constant-time reset of the visited set; clearing every stamp when
+    /// the counter wraps) and empties the queue.
+    fn begin(&mut self, n: usize, num_hubs: usize) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
         }
         if self.hub_stamp.len() < num_hubs {
             self.hub_stamp.resize(num_hubs, 0);
         }
-        self.epoch += 1;
+        self.epoch = match self.epoch.checked_add(1) {
+            Some(e) => e,
+            None => {
+                self.stamp.fill(0);
+                self.hub_stamp.fill(0);
+                1
+            }
+        };
         self.set.clear();
-        self.set.push(root);
-        let s = hub_slot[root as usize];
-        if s != u32::MAX {
-            self.hub_stamp[s as usize] = self.epoch;
-        } else {
-            self.stamp[root as usize] = self.epoch;
+    }
+}
+
+/// The visited set of the current sample, in one of the two layouts.
+trait Visited {
+    fn is_visited(&self, v: u32) -> bool;
+    fn mark(&mut self, v: u32);
+}
+
+/// Classic layout: one stamp per vertex.
+struct Stamps<'a> {
+    stamp: &'a mut [u32],
+    epoch: u32,
+}
+
+impl Visited for Stamps<'_> {
+    #[inline]
+    fn is_visited(&self, v: u32) -> bool {
+        self.stamp[usize_from_u32(v)] == self.epoch
+    }
+
+    #[inline]
+    fn mark(&mut self, v: u32) {
+        self.stamp[usize_from_u32(v)] = self.epoch;
+    }
+}
+
+/// Hub/cold split layout: hubs read and write the compact array, cold
+/// vertices the full one. Logically identical to [`Stamps`].
+struct SplitStamps<'a> {
+    cold: Stamps<'a>,
+    hub_stamp: &'a mut [u32],
+    hub_slot: &'a [u32],
+}
+
+impl Visited for SplitStamps<'_> {
+    #[inline]
+    fn is_visited(&self, v: u32) -> bool {
+        match self.hub_slot[usize_from_u32(v)] {
+            u32::MAX => self.cold.is_visited(v),
+            s => self.hub_stamp[usize_from_u32(s)] == self.cold.epoch,
         }
     }
 
-    /// Logically identical to [`SampleScratch::is_visited`]; hubs read the
-    /// compact array, cold vertices the full one.
-    fn is_visited_split(&self, v: u32, hub_slot: &[u32]) -> bool {
-        let s = hub_slot[v as usize];
-        if s != u32::MAX {
-            self.hub_stamp[s as usize] == self.epoch
-        } else {
-            self.stamp[v as usize] == self.epoch
+    #[inline]
+    fn mark(&mut self, v: u32) {
+        match self.hub_slot[usize_from_u32(v)] {
+            u32::MAX => self.cold.mark(v),
+            s => self.hub_stamp[usize_from_u32(s)] = self.cold.epoch,
         }
-    }
-
-    /// Logically identical to [`SampleScratch::visit`] under the split
-    /// layout.
-    fn visit_split(&mut self, v: u32, hub_slot: &[u32]) {
-        let s = hub_slot[v as usize];
-        if s != u32::MAX {
-            self.hub_stamp[s as usize] = self.epoch;
-        } else {
-            self.stamp[v as usize] = self.epoch;
-        }
-        self.set.push(v);
     }
 }
 
@@ -280,121 +299,144 @@ impl RrSampler {
         let mut rng =
             StdRng::seed_from_u64(splitmix(seed ^ index.wrapping_mul(0x9e3779b97f4a7c15)));
         let root = rng.gen_range(0..n as u32);
-        // The LT reverse walk visits a handful of vertices per set, so the
-        // hub/cold split buys nothing there; it always runs classic.
-        let split = self.kernel == SampleKernel::HubSplit
-            && !matches!(self.model, DiffusionModel::LinearThreshold);
-        if split {
-            scratch.begin_split(n, self.num_hubs, root, &self.hub_slot);
-        } else {
-            scratch.begin(n, root);
-        }
-        let trace = match self.model {
-            DiffusionModel::IndependentCascade { probability } => {
-                if split {
-                    self.reverse_bfs_split(scratch, &mut rng, |_, p_rng| p_rng < probability)
-                } else {
-                    self.reverse_bfs(scratch, &mut rng, |_, p_rng| p_rng < probability)
-                }
-            }
-            DiffusionModel::WeightedCascade => {
-                // p(u -> v) = 1 / indeg(v): while scanning v's in-neighbors,
-                // each passes with probability 1/indeg(v).
-                let t = &self.transpose;
-                let live = |v: u32, p_rng: f64| {
-                    let indeg = t.degree(v).max(1) as f64;
-                    p_rng < 1.0 / indeg
-                };
-                if split {
-                    self.reverse_bfs_split(scratch, &mut rng, live)
-                } else {
-                    self.reverse_bfs(scratch, &mut rng, live)
-                }
-            }
-            DiffusionModel::LinearThreshold => self.reverse_walk(scratch, &mut rng),
+        let trace = match &self.transpose {
+            Adjacency::Flat(g) => self.traverse(g, root, scratch, &mut rng),
+            Adjacency::Compressed(cz) => self.traverse(cz, root, scratch, &mut rng),
         };
         (&scratch.set, trace)
     }
 
-    /// IC-style probabilistic reverse BFS: each in-edge `(u -> v)` of a
-    /// visited `v` is live independently, as judged by `live(v, coin)`.
-    /// `scratch` arrives seeded with the root.
-    fn reverse_bfs<F: Fn(u32, f64) -> bool>(
+    /// Draws one set rooted at `root` over a concrete row source, running
+    /// the model's traversal.
+    fn traverse<A: InRows>(
         &self,
+        adj: &A,
+        root: u32,
         scratch: &mut SampleScratch,
         rng: &mut StdRng,
-        live: F,
     ) -> RrTrace {
-        let mut trace = RrTrace { edges_examined: 0, vertices_visited: 1 };
-        let mut head = 0usize;
-        while head < scratch.set.len() {
-            let v = scratch.set[head];
-            head += 1;
-            for u in self.transpose.iter_row(v) {
-                trace.edges_examined += 1;
-                if !scratch.is_visited(u) && live(v, rng.gen::<f64>()) {
-                    scratch.visit(u);
-                    trace.vertices_visited += 1;
-                }
+        // Each in-edge (u -> v) is live with the probability `threshold`
+        // gives for v's in-degree: p under IC, 1 / indeg(v) under WC.
+        match self.model {
+            DiffusionModel::IndependentCascade { probability } => {
+                self.bfs_in_layout(adj, root, scratch, rng, |_| probability)
+            }
+            DiffusionModel::WeightedCascade => {
+                self.bfs_in_layout(adj, root, scratch, rng, wc_threshold)
+            }
+            DiffusionModel::LinearThreshold => {
+                // The LT reverse walk visits a handful of vertices per set,
+                // so the hub/cold split buys nothing there; it always runs
+                // classic.
+                scratch.begin(self.transpose.num_vertices(), 0);
+                let seen = Stamps { stamp: &mut scratch.stamp, epoch: scratch.epoch };
+                reverse_walk(adj, root, seen, &mut scratch.set, rng)
             }
         }
-        trace
     }
 
-    /// [`RrSampler::reverse_bfs`] over the hub/cold split visited layout.
-    /// The visited predicate is evaluated in exactly the same short-circuit
-    /// position, so the RNG stream is consumed identically and the sampled
-    /// set — push order included — matches the classic path bit for bit.
-    fn reverse_bfs_split<F: Fn(u32, f64) -> bool>(
+    /// Runs [`reverse_bfs`] over the kernel's visited layout.
+    fn bfs_in_layout<A: InRows>(
         &self,
+        adj: &A,
+        root: u32,
         scratch: &mut SampleScratch,
         rng: &mut StdRng,
-        live: F,
+        threshold: impl Fn(usize) -> f64,
     ) -> RrTrace {
-        let hub_slot = &self.hub_slot;
-        let mut trace = RrTrace { edges_examined: 0, vertices_visited: 1 };
-        let mut head = 0usize;
-        while head < scratch.set.len() {
-            let v = scratch.set[head];
-            head += 1;
-            for u in self.transpose.iter_row(v) {
-                trace.edges_examined += 1;
-                if !scratch.is_visited_split(u, hub_slot) && live(v, rng.gen::<f64>()) {
-                    scratch.visit_split(u, hub_slot);
-                    trace.vertices_visited += 1;
-                }
+        let n = self.transpose.num_vertices();
+        match self.kernel {
+            SampleKernel::Classic => {
+                scratch.begin(n, 0);
+                let seen = Stamps { stamp: &mut scratch.stamp, epoch: scratch.epoch };
+                reverse_bfs(adj, root, seen, &mut scratch.set, rng, threshold)
+            }
+            SampleKernel::HubSplit => {
+                scratch.begin(n, self.num_hubs);
+                let seen = SplitStamps {
+                    cold: Stamps { stamp: &mut scratch.stamp, epoch: scratch.epoch },
+                    hub_stamp: &mut scratch.hub_stamp,
+                    hub_slot: &self.hub_slot,
+                };
+                reverse_bfs(adj, root, seen, &mut scratch.set, rng, threshold)
             }
         }
-        trace
     }
+}
 
-    /// LT-style reverse random walk: from the root, repeatedly step to one
-    /// uniformly chosen in-neighbor until revisiting or hitting a source.
-    /// `scratch` arrives seeded with the root.
-    fn reverse_walk(&self, scratch: &mut SampleScratch, rng: &mut StdRng) -> RrTrace {
-        let mut trace = RrTrace { edges_examined: 0, vertices_visited: 1 };
-        let mut current = scratch.set[0];
-        loop {
-            let deg = self.transpose.degree(current);
-            if deg == 0 {
-                break;
+/// The WC live-edge probability of an in-edge of a vertex with in-degree
+/// `indeg`: `1 / indeg`, with sources treated as in-degree 1.
+fn wc_threshold(indeg: usize) -> f64 {
+    1.0 / indeg.max(1) as f64
+}
+
+/// IC-style probabilistic reverse BFS from `root`: each in-edge `(u -> v)`
+/// of a visited `v` is live when its coin falls below `threshold(indeg(v))`.
+/// The coin is drawn only for unvisited `u`, so the RNG stream — and the
+/// set, push order included — is the same in every visited layout and row
+/// source.
+fn reverse_bfs<A: InRows, S: Visited>(
+    adj: &A,
+    root: u32,
+    mut seen: S,
+    set: &mut Vec<u32>,
+    rng: &mut StdRng,
+    threshold: impl Fn(usize) -> f64,
+) -> RrTrace {
+    seen.mark(root);
+    set.push(root);
+    let mut edges_examined = 0u64;
+    let mut head = 0usize;
+    while let Some(&v) = set.get(head) {
+        head += 1;
+        let row = adj.row(v);
+        let indeg = row.len();
+        edges_examined += indeg as u64;
+        let p = threshold(indeg);
+        row.for_each(|u| {
+            if !seen.is_visited(u) && rng.gen::<f64>() < p {
+                seen.mark(u);
+                set.push(u);
             }
-            trace.edges_examined += 1;
-            // `nth` streams to the chosen in-neighbor; the index is always
-            // in range, so the `None` arm is unreachable and breaking is
-            // the graceful (panic-free) answer if it ever weren't.
-            let Some(next) = self.transpose.iter_row(current).nth(rng.gen_range(0..deg)) else {
-                break;
-            };
-            if scratch.is_visited(next) {
-                break;
-            }
-            scratch.visit(next);
-            trace.vertices_visited += 1;
-            current = next;
-        }
-        trace
+        });
     }
+    RrTrace { edges_examined, vertices_visited: set.len() as u64 }
+}
+
+/// LT-style reverse random walk: from the root, repeatedly step to one
+/// uniformly chosen in-neighbor until revisiting or hitting a source.
+fn reverse_walk<A: InRows>(
+    adj: &A,
+    root: u32,
+    mut seen: Stamps<'_>,
+    set: &mut Vec<u32>,
+    rng: &mut StdRng,
+) -> RrTrace {
+    seen.mark(root);
+    set.push(root);
+    let mut edges_examined = 0u64;
+    let mut current = root;
+    loop {
+        let mut row = adj.row(current);
+        let deg = row.len();
+        if deg == 0 {
+            break;
+        }
+        edges_examined += 1;
+        // The index is always in range, so the `None` arm is unreachable
+        // and breaking is the graceful (panic-free) answer if it ever
+        // weren't.
+        let Some(next) = row.nth(rng.gen_range(0..deg)) else {
+            break;
+        };
+        if seen.is_visited(next) {
+            break;
+        }
+        seen.mark(next);
+        set.push(next);
+        current = next;
+    }
+    RrTrace { edges_examined, vertices_visited: set.len() as u64 }
 }
 
 /// Partitions vertices into hubs and cold for [`SampleKernel::HubSplit`]:
@@ -532,6 +574,43 @@ mod tests {
         let s = RrSampler::new(&big, ic(1.0));
         let (set, _) = s.sample_with(1, 0, &mut scratch);
         assert_eq!(set.len(), 64);
+        // One scratch reused across samplers of different sizes, kernels
+        // and models still draws exactly what a fresh allocation draws.
+        let graphs = [path(4), reorderlab_datasets::erdos_renyi_gnm(300, 1500, 17), star(80)];
+        for g in &graphs {
+            for model in [ic(0.3), DiffusionModel::WeightedCascade, DiffusionModel::LinearThreshold]
+            {
+                for kernel in SampleKernel::ALL {
+                    let s = RrSampler::with_kernel(g, model, kernel);
+                    for i in 0..20 {
+                        let (set, trace) = s.sample_with(4, i, &mut scratch);
+                        assert_eq!((set.to_vec(), trace), s.sample(4, i), "{model:?}/{kernel:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn epoch_wrap_clears_stale_stamps() {
+        // Draw with low epochs first, so stale stamps 1..=8 sit in both
+        // arrays; then jump to just below the wrap. Without the clear, the
+        // restarted epochs would read those stale stamps as visited (and a
+        // bare wrapping add would reach epoch 0, the fresh-slot value).
+        let g = reorderlab_datasets::erdos_renyi_gnm(300, 1500, 17);
+        for kernel in SampleKernel::ALL {
+            let s = RrSampler::with_kernel(&g, ic(0.3), kernel);
+            let mut scratch = SampleScratch::new(g.num_vertices());
+            for i in 0..8 {
+                s.sample_with(6, i, &mut scratch);
+            }
+            let mut scratch = scratch.at_epoch(u32::MAX - 2);
+            for i in 0..8 {
+                let (set, trace) = s.sample_with(6, i, &mut scratch);
+                assert_eq!((set.to_vec(), trace), s.sample(6, i), "{kernel:?} index {i}");
+            }
+            assert_eq!(scratch.epoch, 6, "the wrap restarts counting at 1");
+        }
     }
 
     #[test]
